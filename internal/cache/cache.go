@@ -47,23 +47,27 @@ func (s State) String() string {
 func (s State) Writable() bool { return s == Exclusive || s == Modified }
 
 // Line is one cache line. The zero value is an invalid line.
+//
+// Fields are ordered widest first, so a Line takes 32 bytes rather than the
+// 40 that interleaving the one-byte fields with the words would cost; the
+// L3's line array is the largest allocation of a run.
 type Line struct {
 	Block mem.Block
-	State State
 	// ReadyAt is the cycle at which the fill (data and/or permission)
 	// completes. A demand access finding ReadyAt in the future has hit an
 	// in-flight miss — for prefetched lines, that is a late prefetch.
 	ReadyAt uint64
+	// gen stamps the cache generation that filled the line; it only backs
+	// Valid() on line copies handed out by Insert/Invalidate. Liveness of a
+	// way inside the array is tracked by the cache's packed tag array.
+	gen   uint64
+	State State
 	// Prefetched marks a line filled by a prefetch that no demand access
 	// has consumed yet; used for the Fig. 11 accuracy taxonomy.
 	Prefetched bool
 	// PrefetchWrite records that the prefetch requested ownership
 	// (prefetch-exclusive), as the at-commit/at-execute/SPB policies do.
 	PrefetchWrite bool
-	// gen stamps the cache generation that filled the line; it only backs
-	// Valid() on line copies handed out by Insert/Invalidate. Liveness of a
-	// way inside the array is tracked by the cache's packed tag array.
-	gen uint64
 }
 
 // Valid reports whether the line holds a block. For lines returned by
@@ -189,34 +193,63 @@ func (c *Cache) setBase(b mem.Block) uint64 {
 // hit/miss counters (demand accesses); probe-only lookups (snoops,
 // duplicate-prefetch filtering) pass false.
 func (c *Cache) Lookup(b mem.Block, touch bool) *Line {
+	l, _ := c.LookupSlot(b, touch)
+	return l
+}
+
+// LookupSlot is Lookup that also returns the slot of the way holding b: its
+// index in [0, Slots()), or -1 on a miss. A slot names a way, not a block —
+// it stays b's until b is evicted or invalidated — so callers can keep
+// per-way side state (the L3's directory) in arrays parallel to the cache.
+func (c *Cache) LookupSlot(b mem.Block, touch bool) (*Line, int) {
 	c.TagAccesses++
 	base := c.setBase(b)
 	tags := c.tags[base : base+uint64(c.ways)]
 	for i := range tags {
 		if tags[i] == b {
+			w := int(base) + i
 			if touch {
 				c.clock++
-				c.uses[base+uint64(i)] = c.clock
+				c.uses[w] = c.clock
 				c.Hits++
 			}
-			return &c.lines[base+uint64(i)]
+			return &c.lines[w], w
 		}
 	}
 	if touch {
 		c.Misses++
 	}
-	return nil
+	return nil, -1
+}
+
+// Slot returns the slot holding b, or -1 when b is absent, without counting
+// a tag access or touching LRU (a Peek for per-way side state).
+func (c *Cache) Slot(b mem.Block) int {
+	base := c.setBase(b)
+	tags := c.tags[base : base+uint64(c.ways)]
+	for i := range tags {
+		if tags[i] == b {
+			return int(base) + i
+		}
+	}
+	return -1
+}
+
+// Slots returns the number of ways in the whole array (sets * ways): the
+// length of an array indexed by slot.
+func (c *Cache) Slots() int { return len(c.tags) }
+
+// SlotBlock returns the block held by slot w and whether the way is live.
+func (c *Cache) SlotBlock(w int) (mem.Block, bool) {
+	b := c.tags[w]
+	return b, b != noTag
 }
 
 // Peek returns the line holding b without counting a tag access or touching
 // LRU. For invariant checks and directory consistency audits.
 func (c *Cache) Peek(b mem.Block) *Line {
-	base := c.setBase(b)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for i := range tags {
-		if tags[i] == b {
-			return &c.lines[base+uint64(i)]
-		}
+	if w := c.Slot(b); w >= 0 {
+		return &c.lines[w]
 	}
 	return nil
 }
@@ -226,6 +259,13 @@ func (c *Cache) Peek(b mem.Block) *Line {
 // evicted; the caller handles the writeback if victim.State == Modified.
 // Inserting a block already present updates that line in place instead.
 func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrite bool) (victim Line, evicted bool) {
+	victim, evicted, _ = c.InsertSlot(b, st, readyAt, prefetched, pfWrite)
+	return victim, evicted
+}
+
+// InsertSlot is Insert that also returns the slot b now occupies. When a
+// victim was evicted, that slot is the one the victim left.
+func (c *Cache) InsertSlot(b mem.Block, st State, readyAt uint64, prefetched, pfWrite bool) (victim Line, evicted bool, slot int) {
 	base := c.setBase(b)
 	tags := c.tags[base : base+uint64(c.ways)]
 	uses := c.uses[base : base+uint64(c.ways)]
@@ -244,7 +284,7 @@ func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrit
 			l.Prefetched = prefetched
 			l.PrefetchWrite = pfWrite
 			uses[i] = c.clock
-			return Line{}, false
+			return Line{}, false, int(base) + i
 		}
 		if free < 0 {
 			if tags[i] == noTag {
@@ -274,7 +314,7 @@ func (c *Cache) Insert(b mem.Block, st State, readyAt uint64, prefetched, pfWrit
 	}
 	tags[vi] = b
 	uses[vi] = c.clock
-	return victim, evicted
+	return victim, evicted, int(base) + vi
 }
 
 // Invalidate removes block b, returning the invalidated line and whether it
@@ -323,13 +363,7 @@ func (c *Cache) OutstandingAt(t uint64) int {
 // (no new misses are issued while the core is idle).
 func (c *Cache) MaxOutstandingReady(t uint64) uint64 {
 	c.outstanding.expire(t)
-	var max uint64
-	for _, v := range c.outstanding.a {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return c.outstanding.max()
 }
 
 // MSHRAvailable returns the cycle at which a miss issued at t can actually
@@ -353,68 +387,55 @@ func (c *Cache) NoteMiss(ready uint64) {
 	c.outstanding.push(ready)
 }
 
-// minHeap tracks the ready cycles of in-flight fills as an unordered array
-// with a cached exact minimum. Capacities are bounded by the MSHR count
-// (≤64), so linear scans beat a binary heap here: the common expire call
-// removes nothing (one compare against the cached minimum), and an expire
-// that does remove work retires a whole batch of completions in a single
-// swap-remove pass instead of one sift-down per element. popMin — needed
-// only when the MSHRs are full — is a linear select of the minimum.
+// minHeap tracks the ready cycles of in-flight fills as an ascending array.
+// Its length is bounded by the MSHR count (≤64), so shifting beats a binary
+// heap here: the common expire call removes nothing (one compare against the
+// first element), an expire that does remove work drops a whole prefix of
+// completions at once, popMin drops the first element, and the latest
+// completion is simply the last. push inserts from the back, where fills
+// issued in order usually land.
 type minHeap struct {
-	a   []uint64
-	min uint64 // exact minimum of a; meaningless when empty
+	a []uint64 // ascending
 }
 
 func (h *minHeap) len() int { return len(h.a) }
 
 func (h *minHeap) push(v uint64) {
-	if len(h.a) == 0 || v < h.min {
-		h.min = v
-	}
 	h.a = append(h.a, v)
+	i := len(h.a) - 1
+	for ; i > 0 && h.a[i-1] > v; i-- {
+		h.a[i] = h.a[i-1]
+	}
+	h.a[i] = v
 }
 
 func (h *minHeap) popMin() uint64 {
-	mi := 0
-	for i, v := range h.a {
-		if v < h.a[mi] {
-			mi = i
-		}
-	}
-	v := h.a[mi]
-	last := len(h.a) - 1
-	h.a[mi] = h.a[last]
-	h.a = h.a[:last]
-	if last > 0 {
-		m := h.a[0]
-		for _, x := range h.a[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		h.min = m
-	}
+	v := h.a[0]
+	h.drop(1)
 	return v
+}
+
+// max returns the latest ready cycle, or 0 when empty.
+func (h *minHeap) max() uint64 {
+	if len(h.a) == 0 {
+		return 0
+	}
+	return h.a[len(h.a)-1]
+}
+
+// drop removes the k earliest ready cycles.
+func (h *minHeap) drop(k int) {
+	h.a = h.a[:copy(h.a, h.a[k:])]
 }
 
 // expire drops fills that completed at or before t.
 func (h *minHeap) expire(t uint64) {
-	if len(h.a) == 0 || h.min > t {
+	if len(h.a) == 0 || h.a[0] > t {
 		return
 	}
-	m := ^uint64(0)
-	for i := 0; i < len(h.a); {
-		v := h.a[i]
-		if v <= t {
-			last := len(h.a) - 1
-			h.a[i] = h.a[last]
-			h.a = h.a[:last]
-			continue // re-examine the element swapped into slot i
-		}
-		if v < m {
-			m = v
-		}
-		i++
+	k := 1
+	for k < len(h.a) && h.a[k] <= t {
+		k++
 	}
-	h.min = m
+	h.drop(k)
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spb/internal/mem"
 )
@@ -261,5 +262,42 @@ func TestMinHeapOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreSortsOutstanding: checkpoints written before the MSHR tracker
+// kept its ready cycles in ascending order hold them in any order, and
+// Restore must bring them back into order.
+func TestRestoreSortsOutstanding(t *testing.T) {
+	src := New("t", 4*2*64, 2, 3)
+	snap := src.Snapshot()
+	snap.outstanding = []uint64{40, 10, 30}
+	b, err := snap.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec Snapshot
+	if err := dec.GobDecode(b); err != nil {
+		t.Fatal(err)
+	}
+	c := New("t", 4*2*64, 2, 3)
+	c.Restore(&dec)
+	if got := c.MaxOutstandingReady(0); got != 40 {
+		t.Fatalf("MaxOutstandingReady = %d, want 40", got)
+	}
+	// All three MSHRs are busy: a miss at 5 waits for the earliest, 10.
+	if got := c.MSHRAvailable(5); got != 10 {
+		t.Fatalf("MSHRAvailable(5) = %d, want 10", got)
+	}
+	if n := c.OutstandingAt(35); n != 1 {
+		t.Fatalf("outstanding at 35 = %d, want 1", n)
+	}
+}
+
+// TestLineSize guards the packed Line layout: one more padded field grows
+// every cache's line array by a quarter.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 32 {
+		t.Fatalf("sizeof(Line) = %d bytes, want 32", n)
 	}
 }

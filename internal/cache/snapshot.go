@@ -1,6 +1,10 @@
 package cache
 
-import "spb/internal/mem"
+import (
+	"slices"
+
+	"spb/internal/mem"
+)
 
 // This file adds the two pieces warm-start simulation (DESIGN.md §12) needs
 // from the cache arrays: counter-free "functional warming" accesses, and a
@@ -18,16 +22,24 @@ import "spb/internal/mem"
 // WarmLookup returns the line holding b, touching LRU state exactly as a
 // demand Lookup(b, true) would, but without counting the access.
 func (c *Cache) WarmLookup(b mem.Block) *Line {
+	l, _ := c.WarmLookupSlot(b)
+	return l
+}
+
+// WarmLookupSlot is WarmLookup that also returns b's slot (-1 on a miss),
+// as LookupSlot does.
+func (c *Cache) WarmLookupSlot(b mem.Block) (*Line, int) {
 	base := c.setBase(b)
 	tags := c.tags[base : base+uint64(c.ways)]
 	for i := range tags {
 		if tags[i] == b {
+			w := int(base) + i
 			c.clock++
-			c.uses[base+uint64(i)] = c.clock
-			return &c.lines[base+uint64(i)]
+			c.uses[w] = c.clock
+			return &c.lines[w], w
 		}
 	}
-	return nil
+	return nil, -1
 }
 
 // WarmInsert fills block b in state st with the fill already complete
@@ -35,6 +47,13 @@ func (c *Cache) WarmLookup(b mem.Block) *Line {
 // counting the eviction. The caller propagates state effects (directory
 // cleanup, back-invalidation) of a valid victim; no writeback is modelled.
 func (c *Cache) WarmInsert(b mem.Block, st State) (victim Line, evicted bool) {
+	victim, evicted, _ = c.WarmInsertSlot(b, st)
+	return victim, evicted
+}
+
+// WarmInsertSlot is WarmInsert that also returns the slot b now occupies,
+// as InsertSlot does.
+func (c *Cache) WarmInsertSlot(b mem.Block, st State) (victim Line, evicted bool, slot int) {
 	base := c.setBase(b)
 	tags := c.tags[base : base+uint64(c.ways)]
 	uses := c.uses[base : base+uint64(c.ways)]
@@ -47,7 +66,7 @@ func (c *Cache) WarmInsert(b mem.Block, st State) (victim Line, evicted bool) {
 			l.Prefetched = false
 			l.PrefetchWrite = false
 			uses[i] = c.clock
-			return Line{}, false
+			return Line{}, false, int(base) + i
 		}
 		if free < 0 {
 			if tags[i] == noTag {
@@ -66,7 +85,7 @@ func (c *Cache) WarmInsert(b mem.Block, st State) (victim Line, evicted bool) {
 	c.lines[base+uint64(vi)] = Line{Block: b, State: st, gen: c.gen}
 	tags[vi] = b
 	uses[vi] = c.clock
-	return victim, evicted
+	return victim, evicted, int(base) + vi
 }
 
 // Snapshot is a deep copy of a cache's mutable state: the line, tag and LRU
@@ -80,8 +99,7 @@ type Snapshot struct {
 	gen   uint64
 	clock uint64
 
-	outstanding []uint64
-	outMin      uint64
+	outstanding []uint64 // ascending
 
 	tagAccesses, hits, misses, evictions, writebacks uint64
 }
@@ -116,7 +134,6 @@ func (c *Cache) Snapshot() *Snapshot {
 	}
 	if len(c.outstanding.a) > 0 {
 		s.outstanding = append([]uint64(nil), c.outstanding.a...)
-		s.outMin = c.outstanding.min
 	}
 	return s
 }
@@ -134,8 +151,10 @@ func (c *Cache) Restore(s *Snapshot) {
 	copy(c.uses, s.uses)
 	c.gen = s.gen
 	c.clock = s.clock
+	// Checkpoints written before the tracker kept its array sorted hold the
+	// ready cycles in any order.
 	c.outstanding.a = append(c.outstanding.a[:0], s.outstanding...)
-	c.outstanding.min = s.outMin
+	slices.Sort(c.outstanding.a)
 	c.TagAccesses = s.tagAccesses
 	c.Hits = s.hits
 	c.Misses = s.misses

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 
 	"spb/internal/mem"
 )
@@ -27,7 +28,7 @@ type snapshotWire struct {
 	Clock uint64
 
 	Outstanding []uint64
-	OutMin      uint64
+	OutMin      uint64 // smallest of Outstanding, 0 when empty; derivable, decode ignores it
 
 	TagAccesses, Hits, Misses, Evictions, Writebacks uint64
 }
@@ -40,12 +41,14 @@ func (s *Snapshot) GobEncode() ([]byte, error) {
 		Uses:        s.uses,
 		Clock:       s.clock,
 		Outstanding: s.outstanding,
-		OutMin:      s.outMin,
 		TagAccesses: s.tagAccesses,
 		Hits:        s.hits,
 		Misses:      s.misses,
 		Evictions:   s.evictions,
 		Writebacks:  s.writebacks,
+	}
+	if len(s.outstanding) > 0 {
+		w.OutMin = slices.Min(s.outstanding)
 	}
 	for i, l := range s.lines {
 		w.Lines[i] = lineWire{Block: l.Block, State: l.State, ReadyAt: l.ReadyAt,
@@ -77,7 +80,6 @@ func (s *Snapshot) GobDecode(data []byte) error {
 	s.gen = 1
 	s.clock = w.Clock
 	s.outstanding = w.Outstanding
-	s.outMin = w.OutMin
 	s.tagAccesses = w.TagAccesses
 	s.hits = w.Hits
 	s.misses = w.Misses

@@ -637,17 +637,21 @@ func (r *poolRun) runChunk(b int, chunk []*poolTask) {
 		}
 		return nil
 	})
+	br := r.p.breaker(b)
+	if progressed {
+		// Settle before the context check: the result that finished the
+		// sweep also cancelled its context, and a half-open trial left
+		// unsettled would keep the circuit half-open for later sweeps.
+		br.Success()
+	}
 	if r.ctx.Err() != nil {
 		return
 	}
-	br := r.p.breaker(b)
 	if err == nil && !r.chunkHasUnfinished(b, chunk) {
 		br.Success()
 		return
 	}
-	if progressed {
-		br.Success()
-	} else {
+	if !progressed {
 		br.Fail(isHardErr(err))
 	}
 	if err == nil {

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"spb/internal/bpred"
@@ -354,28 +355,42 @@ const (
 )
 
 // dispatchBlockAt evaluates the dispatch cause chain for the pending
-// instruction at cycle t. It returns the blocking cause and the cycle at
-// which that cause could lift on its own. Causes released by commit or SB
-// drain (ROB full, SB full) return math.MaxUint64: the commit and drain
-// events bound the skip instead. Callers must ensure havePending.
-func (c *Core) dispatchBlockAt(t uint64) (dispatchBlock, uint64) {
+// instruction at cycle t and returns the blocking cause. Callers must ensure
+// havePending.
+func (c *Core) dispatchBlockAt(t uint64) dispatchBlock {
 	if t < c.fetchReadyAt {
-		return blockFrontend, c.fetchReadyAt
+		return blockFrontend
 	}
 	if c.robCount == len(c.rob) {
-		return blockROB, math.MaxUint64
+		return blockROB
 	}
 	in := &c.pending
 	if in.Kind == trace.KindStore && !c.sb.CanAccept(in.Addr, in.Size) {
-		return blockSB, math.MaxUint64
+		return blockSB
 	}
 	if in.Kind == trace.KindLoad && c.lq.occupancy(t) >= c.cfg.LQSize {
-		return blockLQ, c.lq.releaseCycle(c.cfg.LQSize)
+		return blockLQ
 	}
 	if c.iq.occupancy(t) >= c.cfg.IQSize {
-		return blockIQ, c.iq.releaseCycle(c.cfg.IQSize)
+		return blockIQ
 	}
-	return dispatchReady, t
+	return dispatchReady
+}
+
+// liftCycle returns the cycle at which a blocking cause that dispatchBlockAt
+// just reported could lift on its own. Causes released by commit or SB drain
+// (ROB full, SB full) return math.MaxUint64: the commit and drain events
+// bound the skip instead.
+func (c *Core) liftCycle(cause dispatchBlock) uint64 {
+	switch cause {
+	case blockFrontend:
+		return c.fetchReadyAt
+	case blockLQ:
+		return c.lq.releaseCycle(c.cfg.LQSize)
+	case blockIQ:
+		return c.iq.releaseCycle(c.cfg.IQSize)
+	}
+	return math.MaxUint64
 }
 
 // NextEventCycle returns the earliest cycle at or after the current one at
@@ -426,11 +441,11 @@ func (c *Core) NextEventCycle() uint64 {
 		if !c.havePending {
 			return now
 		}
-		cause, lift := c.dispatchBlockAt(now)
+		cause := c.dispatchBlockAt(now)
 		if cause == dispatchReady {
 			return now
 		}
-		if lift < next {
+		if lift := c.liftCycle(cause); lift < next {
 			next = lift
 		}
 	}
@@ -458,8 +473,7 @@ func (c *Core) SkipTo(target uint64) {
 	// trace exhausted and nothing pending, the reference loop charges no
 	// dispatch-stall counter at all.
 	if c.havePending {
-		cause, _ := c.dispatchBlockAt(now)
-		switch cause {
+		switch c.dispatchBlockAt(now) {
 		case blockFrontend:
 			c.St.FrontendStallCycles += span
 		case blockROB:
@@ -795,18 +809,25 @@ func (c *Core) resolveMispredict(resolveAt uint64) {
 // overflow min-heap for the rare release beyond the window. Queries arrive
 // with nondecreasing cycles, so expiry is a cursor sweep over the ring —
 // sequential, branch-predictable work instead of the pointer-chasing sift of
-// a binary heap, which profiling showed at ~18% of simulation time.
+// a binary heap, which profiling showed at ~18% of simulation time. A bitmap
+// of non-empty buckets lets the sweep and releaseCycle jump from one
+// occupied cycle to the next instead of visiting every cycle.
 type occHeap struct {
-	buckets []uint16 // buckets[c&(occWindow-1)] = entries releasing at cycle c
-	cursor  uint64   // every release < cursor has been expired
-	count   int      // live entries (ring + far)
-	far     []uint64 // min-heap of releases >= cursor+occWindow
-	scratch []uint64 // releaseCycle workspace, reused to stay alloc-free
+	buckets []uint16         // buckets[c&(occWindow-1)] = entries releasing at cycle c
+	busy    [occWords]uint64 // bit i%64 of word i/64: buckets[i] != 0
+	cursor  uint64           // every release < cursor has been expired
+	count   int              // live entries (ring + far)
+	far     []uint64         // min-heap of releases >= cursor+occWindow
+	scratch []uint64         // releaseCycle workspace, reused to stay alloc-free
 }
 
 // occWindow is the ring span in cycles; must be a power of two. Completion
 // times beyond it (deep MSHR/DRAM queuing) spill into the far heap.
 const occWindow = 1024
+
+// occWords is the length of the busy bitmap, which is derived from the
+// buckets: snapshots leave it out and restore rebuilds it.
+const occWords = occWindow / 64
 
 func (h *occHeap) add(release uint64) {
 	if release < h.cursor {
@@ -818,9 +839,38 @@ func (h *occHeap) add(release uint64) {
 	if release-h.cursor >= occWindow {
 		h.farPush(release)
 	} else {
-		h.buckets[release&(occWindow-1)]++
+		h.inc(release)
 	}
 	h.count++
+}
+
+// inc adds one entry to cycle c's bucket.
+func (h *occHeap) inc(c uint64) {
+	i := c & (occWindow - 1)
+	h.buckets[i]++
+	h.busy[i/64] |= 1 << (i % 64)
+}
+
+// nextBusy returns the first cycle in [from, end) whose bucket is non-empty,
+// or end if there is none. end - from must not exceed occWindow.
+func (h *occHeap) nextBusy(from, end uint64) uint64 {
+	i := from & (occWindow - 1)
+	w := i / 64
+	word := h.busy[w] &^ (1<<(i%64) - 1)
+	// occWords+1 words: the last revisits the first word's low bits, the
+	// cycles at the far end of the window.
+	for n := 0; n <= occWords; n++ {
+		if word != 0 {
+			j := w*64 + uint64(bits.TrailingZeros64(word))
+			if c := from + (j-i)&(occWindow-1); c < end {
+				return c
+			}
+			return end
+		}
+		w = (w + 1) % occWords
+		word = h.busy[w]
+	}
+	return end
 }
 
 // occupancy expires entries released at or before t and returns the count
@@ -834,19 +884,22 @@ func (h *occHeap) occupancy(t uint64) int {
 }
 
 func (h *occHeap) expireSlow(t uint64) int {
-	for h.cursor <= t {
-		if h.count == 0 {
-			// Every bucket is zero already; skip the rest of the span.
-			h.cursor = t + 1
-			return 0
-		}
-		i := h.cursor & (occWindow - 1)
-		if n := h.buckets[i]; n != 0 {
-			h.count -= int(n)
-			h.buckets[i] = 0
-		}
-		h.cursor++
+	if h.count == 0 {
+		// Every bucket is zero already; skip the rest of the span.
+		h.cursor = t + 1
+		return 0
 	}
+	end := t + 1
+	if end-h.cursor > occWindow {
+		end = h.cursor + occWindow // the whole ring has expired
+	}
+	for c := h.nextBusy(h.cursor, end); c < end; c = h.nextBusy(c+1, end) {
+		i := c & (occWindow - 1)
+		h.count -= int(h.buckets[i])
+		h.buckets[i] = 0
+		h.busy[i/64] &^= 1 << (i % 64)
+	}
+	h.cursor = t + 1
 	// Expired far entries leave; ones now inside the window join the ring.
 	for len(h.far) > 0 {
 		m := h.far[0]
@@ -855,7 +908,7 @@ func (h *occHeap) expireSlow(t uint64) int {
 			h.count--
 		} else if m-h.cursor < occWindow {
 			h.farPop()
-			h.buckets[m&(occWindow-1)]++
+			h.inc(m)
 		} else {
 			break
 		}
@@ -871,12 +924,11 @@ func (h *occHeap) expireSlow(t uint64) int {
 // answers.
 func (h *occHeap) releaseCycle(threshold int) uint64 {
 	k := h.count - threshold + 1
-	for c := h.cursor; c < h.cursor+occWindow; c++ {
-		if n := int(h.buckets[c&(occWindow-1)]); n != 0 {
-			k -= n
-			if k <= 0 {
-				return c
-			}
+	end := h.cursor + occWindow
+	for c := h.nextBusy(h.cursor, end); c < end; c = h.nextBusy(c+1, end) {
+		k -= int(h.buckets[c&(occWindow-1)])
+		if k <= 0 {
+			return c
 		}
 	}
 	// The k-th smallest lies beyond the window, among the far releases.

@@ -21,7 +21,8 @@ import (
 // statistics. It does NOT cover the trace reader (cloned separately via
 // trace.Program.Clone) or the memory port (snapshotted by memsys.System).
 
-// occSnapshot deep-copies an occHeap.
+// occSnapshot deep-copies an occHeap. The busy bitmap is derived from the
+// buckets, so restore rebuilds it instead of copying it.
 type occSnapshot struct {
 	buckets []uint16
 	cursor  uint64
@@ -56,6 +57,12 @@ func (h *occHeap) restore(s occSnapshot) {
 	h.cursor = s.cursor
 	h.count = s.count
 	h.far = append(h.far[:0], s.far...)
+	h.busy = [occWords]uint64{}
+	for i, n := range h.buckets {
+		if n != 0 {
+			h.busy[i/64] |= 1 << (i % 64)
+		}
+	}
 }
 
 // Snapshot is a deep copy of a core's mutable state.
@@ -220,6 +227,7 @@ func (h *occHeap) release() {
 	}
 	occBucketPool.Put(h.buckets)
 	h.buckets = nil
+	h.busy = [occWords]uint64{}
 }
 
 // Release returns the core's pooled arrays — ROB ring, occupancy buckets,

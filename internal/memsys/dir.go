@@ -6,46 +6,27 @@ import (
 	"spb/internal/mem"
 )
 
-// dirTable is the directory's block → dirEntry index. It replaces the
-// obvious map[mem.Block]*dirEntry: entries are stored inline in a sharded
-// open-addressing table, so lookups touch one cache line instead of two
-// (map bucket + heap-allocated entry) and steady-state operation allocates
-// nothing. Deleted slots are recycled in place by backward-shift deletion —
-// the table's free list is implicit in the probe sequence, so no tombstones
-// accumulate and load factor stays honest.
+// directory is the coherence directory, kept beside the L3's ways: the L3 is
+// inclusive, so every block a private cache holds has an L3 way, and that
+// way carries the block's owner and sharer set. Indexing by L3 slot (see
+// cache.LookupSlot) means the tag scan an L3 access makes anyway also finds
+// the directory entry, and an L3 eviction retires the entry with its way.
 //
-// Sharding by the low hash bits keeps each grow/rehash small (one shard at a
-// time) and keeps the probe arrays at a cache-friendly size.
-type dirTable struct {
-	shard [dirShards]dirShard
+// owner[w] >= 0 means that core holds way w's block in E or M; sharers[w]
+// is the bitmask of cores holding it in S. Every L3 fill resets its way's
+// entry and an empty way's entry is never read, so a recycled directory
+// needs no clearing.
+type directory struct {
+	owner   []int8
+	sharers []uint64
 }
 
-const (
-	dirShards     = 16
-	dirShardBits  = 4
-	dirInitialCap = 1 << 10 // slots per shard; grows by doubling
-)
-
-type dirSlot struct {
-	block mem.Block
-	entry dirEntry
-	// gen stamps the shard generation that wrote the slot; the slot is live
-	// only while it matches. Bumping the shard generation empties a recycled
-	// shard in O(1) without touching its (possibly megabytes of) slots.
-	gen uint32
-}
-
-type dirShard struct {
-	slots []dirSlot
-	mask  uint64
-	used  int
-	gen   uint32
-}
-
-func (s *dirShard) liveAt(i uint64) bool { return s.slots[i].gen == s.gen }
+// dirShards is the number of shards in the canonical directory snapshot
+// (blocks are dealt to shards by the low bits of dirHash).
+const dirShards = 16
 
 // dirHash is the splitmix64 finalizer: block addresses are highly regular
-// (sequential, strided), so every input bit must influence the probe index.
+// (sequential, strided), so every input bit must influence the index.
 func dirHash(b mem.Block) uint64 {
 	x := uint64(b)
 	x ^= x >> 33
@@ -56,168 +37,37 @@ func dirHash(b mem.Block) uint64 {
 	return x
 }
 
-// dirPool recycles whole tables across Systems: a reused table keeps its
-// grown shard capacities (no re-growth churn) and is emptied by bumping each
-// shard's generation rather than by reallocating or zeroing.
-var dirPool sync.Pool
+var dirPools sync.Map // L3 slot count -> *sync.Pool of *directory
 
-func newDirTable() *dirTable {
-	if v := dirPool.Get(); v != nil {
-		t := v.(*dirTable)
-		for i := range t.shard {
-			s := &t.shard[i]
-			s.used = 0
-			s.gen++
-			if s.gen == 0 { // wrapped: stale slots could alias, start clean
-				s.reset(len(s.slots))
-			}
+func newDirectory(slots int) *directory {
+	if p, ok := dirPools.Load(slots); ok {
+		if v := p.(*sync.Pool).Get(); v != nil {
+			return v.(*directory)
 		}
-		return t
 	}
-	t := &dirTable{}
-	for i := range t.shard {
-		t.shard[i].reset(dirInitialCap)
-	}
-	return t
+	return &directory{owner: make([]int8, slots), sharers: make([]uint64, slots)}
 }
 
-// release hands the table back for reuse. The table must not be used
-// afterwards.
-func (t *dirTable) release() { dirPool.Put(t) }
-
-func (s *dirShard) reset(capacity int) {
-	s.slots = make([]dirSlot, capacity)
-	s.mask = uint64(capacity - 1)
-	s.used = 0
-	s.gen = 1
+// release hands the directory back for reuse by a later System with the same
+// L3 geometry. The directory must not be used afterwards.
+func (d *directory) release() {
+	p, _ := dirPools.LoadOrStore(len(d.owner), &sync.Pool{})
+	p.(*sync.Pool).Put(d)
 }
 
-func (t *dirTable) shardFor(h uint64) *dirShard { return &t.shard[h&(dirShards-1)] }
-
-// home is the preferred slot of hash h within the shard. The low bits picked
-// the shard, so the in-shard index comes from the next bits up.
-func (s *dirShard) home(h uint64) uint64 { return (h >> dirShardBits) & s.mask }
-
-// get returns the entry for b, or nil. It never inserts. The pointer is
-// valid until the next insert or delete on the table.
-func (t *dirTable) get(b mem.Block) *dirEntry {
-	h := dirHash(b)
-	s := t.shardFor(h)
-	i := s.home(h)
-	for {
-		sl := &s.slots[i]
-		if sl.gen != s.gen {
-			return nil
-		}
-		if sl.block == b {
-			return &sl.entry
-		}
-		i = (i + 1) & s.mask
-	}
+// reset makes way w's entry ownerless with no sharers: the state of a block
+// just filled into the L3.
+func (d *directory) reset(w int) {
+	d.owner[w] = -1
+	d.sharers[w] = 0
 }
 
-// getOrCreate returns the entry for b, inserting a fresh ownerless entry if
-// absent. The pointer is valid until the next insert or delete.
-func (t *dirTable) getOrCreate(b mem.Block) *dirEntry {
-	h := dirHash(b)
-	s := t.shardFor(h)
-	if s.used >= len(s.slots)-len(s.slots)/4 { // keep load factor ≤ 3/4
-		s.grow()
+// holders returns the cores way w's entry records as owner or sharer, as a
+// bitmask.
+func (d *directory) holders(w int) uint64 {
+	h := d.sharers[w]
+	if o := d.owner[w]; o >= 0 {
+		h |= 1 << uint(o)
 	}
-	i := s.home(h)
-	for {
-		sl := &s.slots[i]
-		if sl.gen != s.gen {
-			sl.block = b
-			sl.entry = dirEntry{owner: -1}
-			sl.gen = s.gen
-			s.used++
-			return &sl.entry
-		}
-		if sl.block == b {
-			return &sl.entry
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-func (s *dirShard) grow() {
-	old, oldGen := s.slots, s.gen
-	s.reset(len(old) * 2)
-	for i := range old {
-		if old[i].gen != oldGen {
-			continue
-		}
-		h := dirHash(old[i].block)
-		j := s.home(h)
-		for s.liveAt(j) {
-			j = (j + 1) & s.mask
-		}
-		s.slots[j] = old[i]
-		s.slots[j].gen = s.gen
-		s.used++
-	}
-}
-
-// delete removes b's entry, if any, using backward-shift deletion: probe-run
-// successors whose home precedes the hole slide back into it, so the slot is
-// immediately free for reuse and lookups never traverse tombstones.
-func (t *dirTable) delete(b mem.Block) {
-	h := dirHash(b)
-	s := t.shardFor(h)
-	i := s.home(h)
-	for {
-		sl := &s.slots[i]
-		if sl.gen != s.gen {
-			return
-		}
-		if sl.block == b {
-			break
-		}
-		i = (i + 1) & s.mask
-	}
-	s.used--
-	j := i
-	for {
-		s.slots[j].gen = s.gen - 1
-		k := j
-		for {
-			k = (k + 1) & s.mask
-			sl := &s.slots[k]
-			if sl.gen != s.gen {
-				return
-			}
-			// sl may shift back into the hole at j only if doing so does not
-			// move it before its home slot (probe distance stays valid).
-			home := s.home(dirHash(sl.block))
-			if (k-home)&s.mask >= (k-j)&s.mask {
-				s.slots[j] = *sl
-				j = k
-				break
-			}
-		}
-	}
-}
-
-// forEach visits every live entry in deterministic (shard, slot) order,
-// stopping early when fn returns false. The table must not be mutated during
-// iteration.
-func (t *dirTable) forEach(fn func(mem.Block, *dirEntry) bool) {
-	for si := range t.shard {
-		s := &t.shard[si]
-		for i := range s.slots {
-			if s.slots[i].gen == s.gen && !fn(s.slots[i].block, &s.slots[i].entry) {
-				return
-			}
-		}
-	}
-}
-
-// len returns the number of live entries.
-func (t *dirTable) len() int {
-	n := 0
-	for i := range t.shard {
-		n += t.shard[i].used
-	}
-	return n
+	return h
 }

@@ -29,8 +29,7 @@ func TestCheckCoherenceDetectsOwnerWithForeignSharers(t *testing.T) {
 	ra := a.StoreAcquire(0x2000, 0x400000, 0)
 	a.PerformStore(0x2000, 0x400000, ra.Done)
 	// Corrupt the directory: pretend core 1 also shares the owned block.
-	e := s.dirOf(mem.BlockOf(0x2000))
-	e.sharers |= 1 << 1
+	s.dir.sharers[s.l3.Slot(mem.BlockOf(0x2000))] |= 1 << 1
 	if err := s.CheckCoherence(); err == nil {
 		t.Fatal("auditor must detect an owner coexisting with foreign sharers")
 	}

@@ -11,63 +11,54 @@ import (
 
 // Deep snapshot/restore of the shared memory system (warm-start support,
 // DESIGN.md §12). Everything mutable is copied: every cache array, the
-// directory table, the recent-eviction sets, the DRAM channel state and all
-// statistics counters. The generic prefetcher is NOT part of the snapshot:
+// directory (kept with the L3's ways), the recent-eviction sets, the DRAM
+// channel state and all statistics counters. The generic prefetcher is NOT part of the snapshot:
 // functional warming never trains it, its type is a per-spec configuration
 // knob, and a fork always starts it fresh — exactly matching a cold run.
 
 // dirPair is one live directory entry in canonical form.
 type dirPair struct {
-	block mem.Block
-	entry dirEntry
+	block   mem.Block
+	owner   int8
+	sharers uint64
 }
 
-// dirSnapshot is a canonical deep copy of a directory table: per shard, the
-// live entries sorted by block. Slot positions, shard capacities and
-// generation stamps are deliberately absent — they are artifacts of the
-// table's allocation history (pool reuse, growth points) that never affect
-// behaviour, so two logically identical directories snapshot identically.
+// dirSnapshot is the canonical form of the directory: the entries of the
+// live L3 ways, dealt into dirShards shards by dirHash and sorted by block
+// within each shard. Way positions are deliberately absent, so the form
+// depends only on which blocks the L3 holds and their coherence state. The
+// sharding is that of the hash table the directory used to be, kept so
+// checkpoints stay byte-compatible.
 type dirSnapshot struct {
 	shard [dirShards][]dirPair
 }
 
-func (t *dirTable) snapshot() *dirSnapshot {
-	s := &dirSnapshot{}
-	for i := range t.shard {
-		sh := &t.shard[i]
-		pairs := make([]dirPair, 0, sh.used)
-		for j := range sh.slots {
-			if sh.slots[j].gen == sh.gen {
-				pairs = append(pairs, dirPair{block: sh.slots[j].block, entry: sh.slots[j].entry})
-			}
+func (s *System) snapshotDir() *dirSnapshot {
+	snap := &dirSnapshot{}
+	for w := 0; w < s.l3.Slots(); w++ {
+		if b, live := s.l3.SlotBlock(w); live {
+			i := dirHash(b) & (dirShards - 1)
+			snap.shard[i] = append(snap.shard[i], dirPair{block: b, owner: s.dir.owner[w], sharers: s.dir.sharers[w]})
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].block < pairs[b].block })
-		s.shard[i] = pairs
 	}
-	return s
+	for _, pairs := range snap.shard {
+		sort.Slice(pairs, func(a, b int) bool { return pairs[a].block < pairs[b].block })
+	}
+	return snap
 }
 
-// restore empties each shard (generation bump, as newDirTable does) and
-// re-inserts the snapshot's entries through the table's own probe logic, so
-// the rebuilt layout is valid for whatever capacity the shard currently has.
-func (t *dirTable) restore(snap *dirSnapshot) {
-	for i := range t.shard {
-		sh := &t.shard[i]
-		sh.used = 0
-		sh.gen++
-		if sh.gen == 0 { // wrapped: stale slots could alias, start clean
-			sh.reset(len(sh.slots))
-		}
-		for _, pr := range snap.shard[i] {
-			if sh.used >= len(sh.slots)-len(sh.slots)/4 {
-				sh.grow()
+// restoreDir writes the snapshot's entries into the ways of the (already
+// restored) L3. The L3 holds exactly the blocks the directory tracks, so
+// every live way gets its entry back.
+func (s *System) restoreDir(snap *dirSnapshot) {
+	for _, pairs := range snap.shard {
+		for _, pr := range pairs {
+			w := s.l3.Slot(pr.block)
+			if w < 0 {
+				panic("memsys: Restore: directory entry for a block the L3 does not hold")
 			}
-			j := sh.home(dirHash(pr.block))
-			for sh.liveAt(j) {
-				j = (j + 1) & sh.mask
-			}
-			sh.slots[j] = dirSlot{block: pr.block, entry: pr.entry, gen: sh.gen}
-			sh.used++
+			s.dir.owner[w] = pr.owner
+			s.dir.sharers[w] = pr.sharers
 		}
 	}
 }
@@ -199,7 +190,7 @@ func (s *System) Snapshot() *SystemSnapshot {
 	snap := &SystemSnapshot{
 		l3:            s.l3.Snapshot(),
 		dram:          s.dram.Snapshot(),
-		dir:           s.dir.snapshot(),
+		dir:           s.snapshotDir(),
 		l3Accesses:    s.L3Accesses,
 		invalidations: s.Invalidations,
 		writebacksL3:  s.WritebacksL3,
@@ -219,8 +210,8 @@ func (s *System) Restore(snap *SystemSnapshot) {
 		panic("memsys: Restore with mismatched core count")
 	}
 	s.l3.Restore(snap.l3)
+	s.restoreDir(snap.dir)
 	s.dram.Restore(snap.dram)
-	s.dir.restore(snap.dir)
 	for i, p := range s.ports {
 		p.restore(snap.ports[i])
 	}

@@ -10,6 +10,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spb/internal/cache"
 	"spb/internal/config"
@@ -26,19 +27,12 @@ const probeLat = 24
 // an adaptive prefetcher.
 const fdpEpoch = 8192
 
-// dirEntry tracks which cores hold a block. owner >= 0 means that core holds
-// the block in E or M; sharers is a bitmask of cores holding it in S.
-type dirEntry struct {
-	owner   int8
-	sharers uint64
-}
-
 // System is the shared part of the memory hierarchy.
 type System struct {
 	cfg   config.MachineConfig
 	l3    *cache.Cache
 	dram  *dram.DRAM
-	dir   *dirTable
+	dir   *directory // coherence state per L3 way
 	ports []*Port
 
 	// Traffic counters for the shared fabric.
@@ -57,8 +51,8 @@ func New(cfg config.MachineConfig, n int) *System {
 		cfg:  cfg,
 		l3:   cache.New("L3", cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.MSHRs),
 		dram: dram.New(cfg.DRAM.LatencyCyc, cfg.DRAM.CyclesPerBlock, cfg.DRAM.MaxOutstanding),
-		dir:  newDirTable(),
 	}
+	s.dir = newDirectory(s.l3.Slots())
 	for i := 0; i < n; i++ {
 		s.ports = append(s.ports, &Port{
 			sys:         s,
@@ -74,7 +68,7 @@ func New(cfg config.MachineConfig, n int) *System {
 }
 
 // Release returns the System's large arrays — every cache's line arena, the
-// directory table and the recent-eviction sets — to internal pools so the
+// directory arrays and the recent-eviction sets — to internal pools so the
 // next System constructed with the same geometry reuses them instead of
 // allocating afresh. Call it when a simulation run is finished with the
 // System; using the System afterwards is a bug. Skipping Release only
@@ -103,94 +97,73 @@ func (s *System) L3() *cache.Cache { return s.l3 }
 // DRAM exposes the memory model for statistics reporting.
 func (s *System) DRAM() *dram.DRAM { return s.dram }
 
-// dirOf returns b's directory entry, creating an ownerless one if absent.
-// The pointer is invalidated by any later insert or delete on the directory
-// (notably l3Fill); callers that fill the L3 re-fetch afterwards.
-func (s *System) dirOf(b mem.Block) *dirEntry {
-	return s.dir.getOrCreate(b)
-}
-
 // invalidateOthers removes every copy of b held by cores other than
-// requester, returning the added latency and whether a remote dirty copy
-// supplied the data.
-func (s *System) invalidateOthers(b mem.Block, requester int, t uint64) (extra uint64, dirtyForward bool) {
-	e := s.dir.get(b)
-	if e == nil {
-		return 0, false
-	}
-	if e.owner >= 0 && int(e.owner) != requester {
-		p := s.ports[e.owner]
-		if line, ok := p.l1.Invalidate(b); ok && line.State == cache.Modified {
-			dirtyForward = true
-		}
-		if line, ok := p.l2.Invalidate(b); ok && line.State == cache.Modified {
-			dirtyForward = true
-		}
-		s.Invalidations++
-		extra = probeLat
+// requester, where w is b's L3 way, and returns the number of remote probes
+// sent (each one an invalidation). The caller charges the probe latency and
+// the Invalidations counter; functional warming charges neither.
+func (s *System) invalidateOthers(b mem.Block, w, requester int) (probes uint64) {
+	d := s.dir
+	if owner := int(d.owner[w]); owner >= 0 && owner != requester {
+		p := s.ports[owner]
+		p.l1.Invalidate(b)
+		p.l2.Invalidate(b)
+		d.owner[w] = -1
+		probes++
 	}
 	for c := 0; c < len(s.ports); c++ {
-		if c == requester || e.sharers&(1<<uint(c)) == 0 {
+		if c == requester || d.sharers[w]&(1<<uint(c)) == 0 {
 			continue
 		}
 		p := s.ports[c]
 		p.l1.Invalidate(b)
 		p.l2.Invalidate(b)
-		s.Invalidations++
-		if extra < probeLat {
-			extra = probeLat
-		}
+		probes++
 	}
-	if e.owner >= 0 && int(e.owner) != requester {
-		e.owner = -1
-	}
-	e.sharers &= 1 << uint(requester)
-	return extra, dirtyForward
+	d.sharers[w] &= 1 << uint(requester)
+	return probes
 }
 
-// downgradeOwner converts a remote exclusive/modified copy to shared so the
-// requester can read, returning the added latency.
-func (s *System) downgradeOwner(b mem.Block, requester int, t uint64) (extra uint64) {
-	e := s.dir.get(b)
-	if e == nil || e.owner < 0 || int(e.owner) == requester {
-		return 0
+// downgradeOwner converts a remote exclusive/modified copy of b (L3 way w)
+// to shared so the requester can read, and reports whether it had to probe
+// a remote owner.
+func (s *System) downgradeOwner(b mem.Block, w, requester int) (probed bool) {
+	d := s.dir
+	owner := int(d.owner[w])
+	if owner < 0 || owner == requester {
+		return false
 	}
-	p := s.ports[e.owner]
+	p := s.ports[owner]
 	p.l1.Downgrade(b)
 	p.l2.Downgrade(b)
-	e.sharers |= 1 << uint(e.owner)
-	e.owner = -1
-	s.Invalidations++
-	return probeLat
+	d.sharers[w] |= 1 << uint(owner)
+	d.owner[w] = -1
+	return true
 }
 
-// l3Fill inserts b into the L3, handling inclusive back-invalidations of the
-// victim in every private hierarchy and the DRAM writeback of dirty victims.
-func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) {
-	victim, evicted := s.l3.Insert(b, st, ready, false, false)
-	if !evicted {
-		return
-	}
-	if victim.State == cache.Modified {
-		s.dram.Write(ready)
-		s.WritebacksL3++
-	}
-	// Inclusion: no private cache may keep a block the L3 dropped.
-	if e := s.dir.get(victim.Block); e != nil {
-		for c := range s.ports {
-			if int(e.owner) == c || e.sharers&(1<<uint(c)) != 0 {
-				p := s.ports[c]
-				if line, ok := p.l1.Invalidate(victim.Block); ok && line.State == cache.Modified {
-					s.dram.Write(ready)
-				}
-				if line, ok := p.l2.Invalidate(victim.Block); ok && line.State == cache.Modified {
-					s.dram.Write(ready)
-				}
-				s.BackInvals++
-			}
+// l3Fill inserts b into the L3 and returns its way, whose directory entry is
+// reset to ownerless. A valid victim is first back-invalidated in every
+// private hierarchy its entry names (inclusion), and dirty data goes back to
+// DRAM.
+func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) int {
+	victim, evicted, w := s.l3.InsertSlot(b, st, ready, false, false)
+	if evicted {
+		if victim.State == cache.Modified {
+			s.dram.Write(ready)
+			s.WritebacksL3++
 		}
-		s.dir.delete(victim.Block)
+		for h := s.dir.holders(w); h != 0; h &= h - 1 {
+			p := s.ports[bits.TrailingZeros64(h)]
+			if line, ok := p.l1.Invalidate(victim.Block); ok && line.State == cache.Modified {
+				s.dram.Write(ready)
+			}
+			if line, ok := p.l2.Invalidate(victim.Block); ok && line.State == cache.Modified {
+				s.dram.Write(ready)
+			}
+			s.BackInvals++
+		}
 	}
+	s.dir.reset(w)
+	return w
 }
 
 // readShared obtains block b for reading on behalf of requester, returning
@@ -198,23 +171,25 @@ func (s *System) l3Fill(b mem.Block, st cache.State, ready uint64) {
 // supplied it (3 = L3, 4 = DRAM).
 func (s *System) readShared(b mem.Block, requester int, t uint64) (done uint64, level int) {
 	s.L3Accesses++
-	extra := s.downgradeOwner(b, requester, t)
-	e := s.dirOf(b)
-	if line := s.l3.Lookup(b, true); line != nil {
-		done = t + uint64(s.cfg.L3.LatencyCyc) + extra
+	if line, w := s.l3.LookupSlot(b, true); line != nil {
+		done = t + uint64(s.cfg.L3.LatencyCyc)
+		if s.downgradeOwner(b, w, requester) {
+			s.Invalidations++
+			done += probeLat
+		}
 		if line.ReadyAt > done {
 			done = line.ReadyAt
 		}
-		e.sharers |= 1 << uint(requester)
+		s.dir.sharers[w] |= 1 << uint(requester)
 		return done, 3
 	}
-	// L3 miss: fetch from DRAM.
-	issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc) + extra)
+	// L3 miss: fetch from DRAM. The L3 is inclusive, so no core holds b and
+	// there is nothing to probe.
+	issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc))
 	done = s.dram.Read(issue)
 	s.l3.NoteMiss(done)
-	s.l3Fill(b, cache.Shared, done)
-	e = s.dirOf(b) // l3Fill may have deleted and re-created directory state
-	e.sharers |= 1 << uint(requester)
+	w := s.l3Fill(b, cache.Shared, done)
+	s.dir.sharers[w] |= 1 << uint(requester)
 	return done, 4
 }
 
@@ -222,25 +197,25 @@ func (s *System) readShared(b mem.Block, requester int, t uint64) (done uint64, 
 // invalidating every other copy.
 func (s *System) readExclusive(b mem.Block, requester int, t uint64) (done uint64, level int) {
 	s.L3Accesses++
-	extra, _ := s.invalidateOthers(b, requester, t)
-	e := s.dirOf(b)
-	if line := s.l3.Lookup(b, true); line != nil {
-		done = t + uint64(s.cfg.L3.LatencyCyc) + extra
+	if line, w := s.l3.LookupSlot(b, true); line != nil {
+		done = t + uint64(s.cfg.L3.LatencyCyc)
+		if probes := s.invalidateOthers(b, w, requester); probes > 0 {
+			s.Invalidations += probes
+			done += probeLat
+		}
 		if line.ReadyAt > done {
 			done = line.ReadyAt
 		}
 		line.State = cache.Modified // L3 tracks the block as owned above
-		e.owner = int8(requester)
-		e.sharers = 0
+		s.dir.owner[w] = int8(requester)
+		s.dir.sharers[w] = 0
 		return done, 3
 	}
-	issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc) + extra)
+	issue := s.l3.MSHRAvailable(t + uint64(s.cfg.L3.LatencyCyc))
 	done = s.dram.Read(issue)
 	s.l3.NoteMiss(done)
-	s.l3Fill(b, cache.Modified, done)
-	e = s.dirOf(b)
-	e.owner = int8(requester)
-	e.sharers = 0
+	w := s.l3Fill(b, cache.Modified, done)
+	s.dir.owner[w] = int8(requester)
 	return done, 4
 }
 
@@ -248,11 +223,14 @@ func (s *System) readExclusive(b mem.Block, requester int, t uint64) (done uint6
 // have no foreign sharers, and no two cores may hold the same block in a
 // writable state. It returns the first violation found, or nil.
 func (s *System) CheckCoherence() error {
-	var err error
-	s.dir.forEach(func(b mem.Block, e *dirEntry) bool {
-		if e.owner >= 0 && e.sharers&^(1<<uint(e.owner)) != 0 {
-			err = fmt.Errorf("memsys: block %#x has owner %d and sharers %#x", b, e.owner, e.sharers)
-			return false
+	for w := 0; w < s.l3.Slots(); w++ {
+		b, live := s.l3.SlotBlock(w)
+		if !live {
+			continue
+		}
+		owner, sharers := s.dir.owner[w], s.dir.sharers[w]
+		if owner >= 0 && sharers&^(1<<uint(owner)) != 0 {
+			return fmt.Errorf("memsys: block %#x has owner %d and sharers %#x", b, owner, sharers)
 		}
 		writable := 0
 		for _, p := range s.ports {
@@ -261,10 +239,8 @@ func (s *System) CheckCoherence() error {
 			}
 		}
 		if writable > 1 {
-			err = fmt.Errorf("memsys: block %#x writable in %d L1 caches", b, writable)
-			return false
+			return fmt.Errorf("memsys: block %#x writable in %d L1 caches", b, writable)
 		}
-		return true
-	})
-	return err
+	}
+	return nil
 }

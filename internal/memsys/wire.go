@@ -96,7 +96,7 @@ func (s *SystemSnapshot) GobEncode() ([]byte, error) {
 	for i := range s.dir.shard {
 		pairs := make([]dirPairWire, len(s.dir.shard[i]))
 		for j, pr := range s.dir.shard[i] {
-			pairs[j] = dirPairWire{Block: pr.block, Owner: pr.entry.owner, Sharers: pr.entry.sharers}
+			pairs[j] = dirPairWire{Block: pr.block, Owner: pr.owner, Sharers: pr.sharers}
 		}
 		w.Dir[i] = pairs
 	}
@@ -132,7 +132,7 @@ func (s *SystemSnapshot) GobDecode(data []byte) error {
 	for i := range w.Dir {
 		pairs := make([]dirPair, len(w.Dir[i]))
 		for j, pr := range w.Dir[i] {
-			pairs[j] = dirPair{block: pr.Block, entry: dirEntry{owner: pr.Owner, sharers: pr.Sharers}}
+			pairs[j] = dirPair{block: pr.Block, owner: pr.Owner, sharers: pr.Sharers}
 		}
 		s.dir.shard[i] = pairs
 	}

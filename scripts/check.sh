@@ -1,8 +1,9 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate: vet, build, tests, and a race pass
-# over the packages with real concurrency (the Runner's singleflight /
-# worker pool, the figure pipelines that drive it, the spbd job queue, and
-# the client pool's sharding/hedging machinery).
+# check.sh — the full pre-merge gate: vet, build, tests (the simulator
+# packages on both 1 and 2 CPUs), and a race pass over the packages with
+# real concurrency (the Runner's singleflight / worker pool, the figure
+# pipelines that drive it, the spbd job queue, and the client pool's
+# sharding/hedging machinery).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,8 @@ echo "== go build =="
 go build ./...
 echo "== go test =="
 go test ./...
+echo "== simulator packages on 1 and 2 CPUs =="
+go test -cpu 1,2 ./internal/cache ./internal/memsys ./internal/cpu ./internal/sim
 echo "== sampling suite (CI accuracy, skip/touch equivalence, accounting) =="
 go test -run 'Sampled|Sampling|Skip' ./internal/sim ./internal/workloads ./internal/server
 go test -run FuzzFunctionalEquivalence ./internal/sim
